@@ -381,9 +381,11 @@ impl Vm {
         self.doit_panic.swap(false, Ordering::Relaxed)
     }
 
-    /// Asks every interpreter to stop at its next safepoint.
+    /// Asks every interpreter to stop at its next safepoint, and wakes the
+    /// idle ones so they see it.
     pub fn shutdown(&self) {
         self.run_flag.store(false, Ordering::Relaxed);
+        self.rendezvous.kick();
     }
 
     /// Whether the system is still running.

@@ -22,8 +22,15 @@
 //!   parked/running state, the telemetry registry, recent trace events — to
 //!   stderr and to a dump file, then either panics or keeps waiting
 //!   according to the configured [`WatchdogPolicy`].
+//!
+//! An interpreter with nothing to run sleeps in the rendezvous instead of
+//! spinning ([`Rendezvous::idle_wait`]). A sleeper counts as already parked,
+//! so a stop never waits for it, yet it can still be drafted as a GC helper
+//! by [`RendezvousGuard::run_stopped`]. It leaves when a
+//! [`kick`](Rendezvous::kick) moves the wake generation past the value it
+//! read before its last look for work — never while a stop is in force.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -79,14 +86,26 @@ pub enum WatchdogPolicy {
     Panic,
 }
 
+/// Where a registered participant is, as far as the rendezvous knows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Presence {
+    /// Mutating, or about to reach a safepoint.
+    Running,
+    /// Parked for a stop (or leading one as a would-be stopper).
+    Parked,
+    /// Asleep in [`Rendezvous::idle_wait`]; counts as parked.
+    Idle,
+}
+
 /// Roster row: diagnostic identity of one registered participant. The
-/// `parked` flag shadows the authoritative `Inner::parked` counter and is
-/// only consulted when composing a watchdog report.
+/// `presence` field shadows the authoritative `Inner::parked` counter and
+/// is only consulted when composing a watchdog report (and to undo an
+/// idle sleeper's accounting on unwind).
 #[derive(Debug)]
 struct RosterEntry {
     id: u64,
     name: String,
-    parked: bool,
+    presence: Presence,
 }
 
 /// A leader-supplied closure that parked participants execute while the
@@ -130,7 +149,8 @@ struct Inner {
     requested: bool,
     /// Threads currently registered as mutators.
     participants: usize,
-    /// Registered threads currently parked (or leading a stop).
+    /// Registered threads currently parked, asleep in `idle_wait`, or
+    /// leading a stop.
     parked: usize,
     /// Diagnostic identities of the registered threads.
     roster: Vec<RosterEntry>,
@@ -141,6 +161,14 @@ struct Inner {
 impl Inner {
     fn roster_entry(&mut self, id: ParticipantId) -> Option<&mut RosterEntry> {
         self.roster.iter_mut().find(|e| e.id == id.0)
+    }
+
+    /// Counts `id` as parked (or asleep).
+    fn enter_parked(&mut self, id: ParticipantId, presence: Presence) {
+        self.parked += 1;
+        if let Some(e) = self.roster_entry(id) {
+            e.presence = presence;
+        }
     }
 }
 
@@ -164,7 +192,16 @@ pub struct Rendezvous {
     /// Fast-path mirror of `Inner::requested`, polled at safepoints.
     flag: AtomicBool,
     inner: Mutex<Inner>,
+    /// Parkers and stoppers wait here; every stop, release and helper job
+    /// notifies it.
     cv: Condvar,
+    /// Idle sleepers wait here, so stops and releases do not wake them;
+    /// only kicks and helper jobs do.
+    idle_cv: Condvar,
+    /// Bumped by every [`kick`](Self::kick).
+    wake_gen: AtomicU64,
+    /// Participants between announcing an idle sleep and leaving it.
+    sleepers: AtomicUsize,
     /// Participant-id dispenser.
     next_id: AtomicU64,
     /// Watchdog deadline in milliseconds (0 disables the watchdog).
@@ -198,6 +235,9 @@ impl Rendezvous {
             flag: AtomicBool::new(false),
             inner: Mutex::new(Inner::default()),
             cv: Condvar::new(),
+            idle_cv: Condvar::new(),
+            wake_gen: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
             watchdog_ms: AtomicU64::new(ms),
             watchdog_panics: AtomicBool::new(panics),
@@ -243,7 +283,7 @@ impl Rendezvous {
         inner.roster.push(RosterEntry {
             id,
             name,
-            parked: false,
+            presence: Presence::Running,
         });
         ParticipantId(id)
     }
@@ -274,7 +314,8 @@ impl Rendezvous {
         self.lock_inner().participants
     }
 
-    /// Number of registered threads currently parked (or leading a stop).
+    /// Number of registered threads currently parked, asleep in
+    /// [`idle_wait`](Self::idle_wait), or leading a stop.
     ///
     /// Exposed for accounting tests and instrumentation; racy by nature
     /// unless the caller holds a [`RendezvousGuard`], in which case every
@@ -300,22 +341,10 @@ impl Rendezvous {
         }
         let start_ns = tel::now_ns();
         let wait_state = timeline::enter_state(ProcState::SafepointWait);
-        inner.parked += 1;
-        if let Some(e) = inner.roster_entry(id) {
-            e.parked = true;
-        }
+        inner.enter_parked(id, Presence::Parked);
         self.cv.notify_all();
-        while inner.requested {
-            let (guard, helped) = self.try_help(inner, id);
-            inner = guard;
-            if !helped {
-                inner = self.wait(inner);
-            }
-        }
-        inner.parked -= 1;
-        if let Some(e) = inner.roster_entry(id) {
-            e.parked = false;
-        }
+        inner = self.wait_for_release(inner, id);
+        self.leave_parked(&mut inner, id);
         drop(inner);
         drop(wait_state);
         let parked_ns = tel::now_ns() - start_ns;
@@ -351,22 +380,10 @@ impl Rendezvous {
                 // go around again — another woken would-be leader may have
                 // claimed the next stop while we were rescheduled.
                 let wait_state = timeline::enter_state(ProcState::SafepointWait);
-                inner.parked += 1;
-                if let Some(e) = inner.roster_entry(id) {
-                    e.parked = true;
-                }
+                inner.enter_parked(id, Presence::Parked);
                 self.cv.notify_all();
-                while inner.requested {
-                    let (guard, helped) = self.try_help(inner, id);
-                    inner = guard;
-                    if !helped {
-                        inner = self.wait(inner);
-                    }
-                }
-                inner.parked -= 1;
-                if let Some(e) = inner.roster_entry(id) {
-                    e.parked = false;
-                }
+                inner = self.wait_for_release(inner, id);
+                self.leave_parked(&mut inner, id);
                 drop(wait_state);
                 continue;
             }
@@ -384,7 +401,7 @@ impl Rendezvous {
                 let waited_ms = (tel::now_ns() - start_ns) / 1_000_000;
                 if waited_ms < deadline_ms {
                     let remaining = Duration::from_millis(deadline_ms - waited_ms);
-                    inner = self.wait_timeout(inner, remaining);
+                    inner = Self::wait_timeout(&self.cv, inner, remaining);
                     continue;
                 }
                 // Deadline expired with stragglers outstanding: dump the
@@ -434,6 +451,95 @@ impl Rendezvous {
         }
     }
 
+    /// The current wake generation. An idle participant reads it *before*
+    /// its last look for work and passes it to
+    /// [`idle_wait`](Self::idle_wait): any kick after the read makes that
+    /// sleep return at once, so a wake-up racing the sleep is never lost.
+    #[inline]
+    pub fn wake_generation(&self) -> u64 {
+        self.wake_gen.load(Ordering::SeqCst)
+    }
+
+    /// Wakes every participant asleep in [`idle_wait`](Self::idle_wait)
+    /// (work became claimable, or the system is shutting down). Costs one
+    /// atomic increment when nobody sleeps.
+    pub fn kick(&self) {
+        self.wake_gen.fetch_add(1, Ordering::SeqCst);
+        // Pairs with the sleeper's increment-then-check in `idle_wait`:
+        // with SeqCst on both sides, either we see the sleeper here or it
+        // sees the new generation. Taking the mutex orders the notify after
+        // the sleeper's check, which it makes while holding it.
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _inner = self.lock_inner();
+            self.idle_cv.notify_all();
+        }
+    }
+
+    /// Number of participants currently asleep in
+    /// [`idle_wait`](Self::idle_wait); racy, for diagnostics and tests.
+    pub fn sleepers(&self) -> usize {
+        self.sleepers.load(Ordering::SeqCst)
+    }
+
+    /// Sleeps the calling participant until the wake generation moves past
+    /// `seen` (see [`wake_generation`](Self::wake_generation)). Returns at
+    /// once if it already has.
+    ///
+    /// While asleep the participant counts as parked: a stop completes
+    /// without waking it, and [`RendezvousGuard::run_stopped`] may still
+    /// draft it as a helper. It never returns while a stop is requested,
+    /// so a kick during a stop takes effect at the release. The caller
+    /// must hold no heap state a collector could move (an interpreter
+    /// retires its allocation token first, as it does before parking).
+    pub fn idle_wait(&self, id: ParticipantId, seen: u64) {
+        let mut inner = self.lock_inner();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if self.wake_gen.load(Ordering::SeqCst) != seen {
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            return;
+        }
+        inner.enter_parked(id, Presence::Idle);
+        // A stopper may be waiting for us: we count as parked now.
+        self.cv.notify_all();
+        loop {
+            // During a stop, behave as a parker until the release.
+            inner = self.wait_for_release(inner, id);
+            if self.wake_gen.load(Ordering::SeqCst) != seen {
+                break;
+            }
+            inner = self.wait_on(&self.idle_cv, inner);
+        }
+        self.leave_parked(&mut inner, id);
+    }
+
+    /// Undoes [`Inner::enter_parked`], and the sleeper count of an idle
+    /// participant.
+    fn leave_parked(&self, inner: &mut Inner, id: ParticipantId) {
+        inner.parked -= 1;
+        if let Some(e) = inner.roster_entry(id) {
+            if std::mem::replace(&mut e.presence, Presence::Running) == Presence::Idle {
+                self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// The parker's loop: runs open helper slots, otherwise waits, until
+    /// the pending stop is released.
+    fn wait_for_release<'a>(
+        &'a self,
+        mut inner: MutexGuard<'a, Inner>,
+        id: ParticipantId,
+    ) -> MutexGuard<'a, Inner> {
+        while inner.requested {
+            let (guard, helped) = self.try_help(inner, id);
+            inner = guard;
+            if !helped {
+                inner = self.wait(inner);
+            }
+        }
+        inner
+    }
+
     /// If a helper job is open with an unclaimed slot, claims it and runs
     /// the leader's closure on this thread, then returns to the caller's
     /// park loop. Returns the (re-acquired) guard and whether a slot ran.
@@ -473,10 +579,7 @@ impl Rendezvous {
         }
         self.cv.notify_all();
         if let Err(payload) = result {
-            inner.parked -= 1;
-            if let Some(e) = inner.roster_entry(id) {
-                e.parked = false;
-            }
+            self.leave_parked(&mut inner, id);
             drop(inner);
             std::panic::resume_unwind(payload);
         }
@@ -510,6 +613,7 @@ impl Rendezvous {
             closed: false,
         });
         self.cv.notify_all();
+        self.idle_cv.notify_all();
         drop(inner);
         // The leader always runs slot 0 itself. Even if it panics, it must
         // first close the job and drain active helpers — they hold a pointer
@@ -544,22 +648,25 @@ impl Rendezvous {
     /// chaos, a forced spurious wakeup turns the wait into a short timed
     /// wait — callers' predicate loops absorb the early return.
     fn wait<'a>(&self, guard: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
+        self.wait_on(&self.cv, guard)
+    }
+
+    /// [`wait`](Self::wait) on a given condvar (`cv` or `idle_cv`).
+    fn wait_on<'a>(&self, cv: &Condvar, guard: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
         if fault::spurious_wake() {
-            return self.wait_timeout(guard, Duration::from_micros(50));
+            return Self::wait_timeout(cv, guard, Duration::from_micros(50));
         }
-        self.cv
-            .wait(guard)
+        cv.wait(guard)
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Timed variant of [`wait`](Self::wait); used by the watchdog.
+    /// Timed variant of [`wait_on`](Self::wait_on); used by the watchdog.
     fn wait_timeout<'a>(
-        &self,
+        cv: &Condvar,
         guard: MutexGuard<'a, Inner>,
         dur: Duration,
     ) -> MutexGuard<'a, Inner> {
-        self.cv
-            .wait_timeout(guard, dur)
+        cv.wait_timeout(guard, dur)
             .map(|(g, _)| g)
             .unwrap_or_else(|poisoned| poisoned.into_inner().0)
     }
@@ -587,10 +694,12 @@ fn watchdog_report(inner: &Inner, leader: ParticipantId, waited_ms: u64) -> Stri
     for e in &inner.roster {
         let state = if e.id == leader.0 {
             "LEADER"
-        } else if e.parked {
-            "parked"
         } else {
-            "RUNNING (missed safepoint)"
+            match e.presence {
+                Presence::Parked => "parked",
+                Presence::Idle => "idle",
+                Presence::Running => "RUNNING (missed safepoint)",
+            }
         };
         let _ = writeln!(out, "  #{:<4} {:<40} {}", e.id, e.name, state);
     }
@@ -697,6 +806,11 @@ impl Participant<'_> {
     /// Stops the world as this participant; see [`Rendezvous::stop_world`].
     pub fn stop_world(&self) -> RendezvousGuard<'_> {
         self.rdv.stop_world(self.id)
+    }
+
+    /// Sleeps this participant; see [`Rendezvous::idle_wait`].
+    pub fn idle_wait(&self, seen: u64) {
+        self.rdv.idle_wait(self.id, seen);
     }
 }
 
@@ -1146,5 +1260,262 @@ mod tests {
             h.join().unwrap();
         }
         rdv.unregister(me);
+    }
+
+    /// Registers a participant on a new thread that sleeps in `idle_wait`
+    /// until kicked, then reports through `woke`. Returns once the thread
+    /// is asleep.
+    fn spawn_sleeper(rdv: &Arc<Rendezvous>, woke: &Arc<AtomicBool>) -> std::thread::JoinHandle<()> {
+        let asleep_before = rdv.sleepers();
+        let rdv2 = Arc::clone(rdv);
+        let woke = Arc::clone(woke);
+        let me = rdv.register();
+        let seen = rdv.wake_generation();
+        let h = std::thread::spawn(move || {
+            rdv2.idle_wait(me, seen);
+            woke.store(true, Ordering::SeqCst);
+            rdv2.unregister(me);
+        });
+        while rdv.sleepers() == asleep_before {
+            std::thread::yield_now();
+        }
+        h
+    }
+
+    #[test]
+    fn a_kick_racing_the_sleep_is_never_lost() {
+        // The sleeper consumes one unit of work per kick; a lost wake-up
+        // leaves it asleep with work pending, which the deadline catches.
+        const ROUNDS: u64 = 10_000;
+        let rdv = Arc::new(Rendezvous::new());
+        let work = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicU64::new(0));
+        let me = rdv.register();
+        let sleeper = {
+            let (rdv, work, done) = (Arc::clone(&rdv), Arc::clone(&work), Arc::clone(&done));
+            std::thread::spawn(move || {
+                while done.load(Ordering::SeqCst) < ROUNDS {
+                    let seen = rdv.wake_generation();
+                    if work.load(Ordering::SeqCst) > done.load(Ordering::SeqCst) {
+                        done.fetch_add(1, Ordering::SeqCst);
+                    } else {
+                        rdv.idle_wait(me, seen);
+                    }
+                }
+                rdv.unregister(me);
+            })
+        };
+        for round in 1..=ROUNDS {
+            work.store(round, Ordering::SeqCst);
+            rdv.kick();
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while done.load(Ordering::SeqCst) < round {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "round {round}: the sleeper missed a kick"
+                );
+                std::thread::yield_now();
+            }
+        }
+        sleeper.join().unwrap();
+        assert_eq!(rdv.sleepers(), 0);
+        assert_eq!(rdv.parked(), 0);
+        assert_eq!(rdv.participants(), 0);
+    }
+
+    #[test]
+    fn stop_world_completes_without_waking_sleepers() {
+        let rdv = Arc::new(Rendezvous::new());
+        // A sleeper that had to be woken to park would never park at all:
+        // the watchdog turns that hang into a panic.
+        rdv.set_watchdog(5_000);
+        rdv.set_watchdog_policy(WatchdogPolicy::Panic);
+        let woke = Arc::new(AtomicBool::new(false));
+        let sleepers: Vec<_> = (0..2).map(|_| spawn_sleeper(&rdv, &woke)).collect();
+        let me = rdv.register();
+        for _ in 0..50 {
+            let guard = rdv.stop_world(me);
+            assert_eq!(rdv.parked(), 2, "sleepers count as parked");
+            drop(guard);
+        }
+        assert!(!woke.load(Ordering::SeqCst), "a stop woke a sleeper");
+        assert_eq!(rdv.sleepers(), 2);
+        rdv.kick();
+        for h in sleepers {
+            h.join().unwrap();
+        }
+        assert!(woke.load(Ordering::SeqCst));
+        rdv.unregister(me);
+        assert_eq!(rdv.parked(), 0);
+    }
+
+    #[test]
+    fn a_sleeper_claims_a_run_stopped_helper_slot() {
+        let rdv = Arc::new(Rendezvous::new());
+        let woke = Arc::new(AtomicBool::new(false));
+        let sleeper = spawn_sleeper(&rdv, &woke);
+        let me = rdv.register();
+        let guard = rdv.stop_world(me);
+        let leader = std::thread::current().id();
+        let helped_elsewhere = AtomicBool::new(false);
+        let entered = AtomicU64::new(0);
+        let slots = guard.run_stopped(2, &|slot| {
+            if slot != 0 && std::thread::current().id() != leader {
+                helped_elsewhere.store(true, Ordering::SeqCst);
+            }
+            entered.fetch_add(1, Ordering::SeqCst);
+            while entered.load(Ordering::SeqCst) < 2 {
+                std::hint::spin_loop();
+            }
+        });
+        assert_eq!(slots, 2, "the sleeper was drafted");
+        assert!(helped_elsewhere.load(Ordering::SeqCst));
+        // Helping did not end the sleep: it is still parked, and stays
+        // asleep after the release because nobody kicked.
+        assert_eq!(rdv.parked(), 1);
+        drop(guard);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!woke.load(Ordering::SeqCst));
+        assert_eq!(rdv.sleepers(), 1);
+        rdv.kick();
+        sleeper.join().unwrap();
+        rdv.unregister(me);
+        assert_eq!(rdv.parked(), 0);
+    }
+
+    #[test]
+    fn sleepers_never_run_while_the_world_is_stopped() {
+        // As `world_stops_are_mutually_exclusive_with_mutation`, but the
+        // mutators sleep between increments and a kicker wakes them at
+        // random moments, stops included: a sleeper leaving during a stop
+        // would move the value under the stopper.
+        let rdv = Arc::new(Rendezvous::new());
+        let value = Arc::new(AtomicU64::new(0));
+        let stops_done = Arc::new(AtomicBool::new(false));
+        let mutators_done = Arc::new(AtomicBool::new(false));
+        let mut handles = Vec::new();
+        for _ in 0..3 {
+            let rdv = Arc::clone(&rdv);
+            let value = Arc::clone(&value);
+            let stops_done = Arc::clone(&stops_done);
+            let me = rdv.register();
+            handles.push(std::thread::spawn(move || {
+                let mut i = 0u64;
+                while !stops_done.load(Ordering::SeqCst) {
+                    let seen = rdv.wake_generation();
+                    if rdv.poll() {
+                        rdv.park(me);
+                    }
+                    value.fetch_add(1, Ordering::Relaxed);
+                    if i.is_multiple_of(4) {
+                        rdv.idle_wait(me, seen);
+                        // Like an interpreter claiming work, mutate at once
+                        // on waking, before the next safepoint poll.
+                        value.fetch_add(1, Ordering::Relaxed);
+                    }
+                    i += 1;
+                }
+                rdv.unregister(me);
+            }));
+        }
+        let kicker = {
+            let rdv = Arc::clone(&rdv);
+            let mutators_done = Arc::clone(&mutators_done);
+            std::thread::spawn(move || {
+                while !mutators_done.load(Ordering::SeqCst) {
+                    rdv.kick();
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            })
+        };
+        let me = rdv.register();
+        for _ in 0..20 {
+            let guard = rdv.stop_world(me);
+            let before = value.load(Ordering::Relaxed);
+            std::thread::sleep(Duration::from_micros(300));
+            let after = value.load(Ordering::Relaxed);
+            assert_eq!(before, after, "a sleeper ran while the world was stopped");
+            drop(guard);
+            std::thread::yield_now();
+        }
+        stops_done.store(true, Ordering::SeqCst);
+        rdv.unregister(me);
+        for h in handles {
+            h.join().unwrap();
+        }
+        mutators_done.store(true, Ordering::SeqCst);
+        kicker.join().unwrap();
+        assert_eq!(rdv.sleepers(), 0);
+        assert_eq!(rdv.parked(), 0);
+    }
+
+    #[test]
+    fn a_sleeper_that_unwinds_leaves_the_accounting_consistent() {
+        let rdv = Arc::new(Rendezvous::new());
+        let rdv2 = Arc::clone(&rdv);
+        let seen = rdv.wake_generation();
+        let sleeper = std::thread::spawn(move || {
+            let me = rdv2.participant();
+            me.idle_wait(seen); // unwinds out of here on the injected panic
+        });
+        while rdv.sleepers() == 0 {
+            std::thread::yield_now();
+        }
+        let me = rdv.register();
+        let guard = rdv.stop_world(me);
+        let entered = AtomicU64::new(0);
+        guard.run_stopped(2, &|slot| {
+            entered.fetch_add(1, Ordering::SeqCst);
+            if slot != 0 {
+                panic!("injected helper death");
+            }
+            while entered.load(Ordering::SeqCst) < 2 {
+                std::hint::spin_loop();
+            }
+        });
+        assert!(sleeper.join().is_err(), "the sleeper was supposed to die");
+        // Its participant guard unregistered it on the way out; its parked
+        // and sleeper counts were undone before that.
+        assert_eq!(rdv.participants(), 1);
+        assert_eq!(rdv.parked(), 0);
+        assert_eq!(rdv.sleepers(), 0);
+        drop(guard);
+        drop(rdv.stop_world(me));
+        rdv.unregister(me);
+        assert_eq!(rdv.participants(), 0);
+    }
+
+    #[test]
+    fn the_watchdog_roster_lists_sleepers_as_idle() {
+        let rdv = Arc::new(Rendezvous::new());
+        let woke = Arc::new(AtomicBool::new(false));
+        let sleeper = spawn_sleeper(&rdv, &woke);
+        let leader = rdv.register();
+        let straggler = rdv.register();
+        let report = watchdog_report(&rdv.lock_inner(), leader, 0);
+        let roster: Vec<&str> = report
+            .lines()
+            .filter(|l| l.trim_start().starts_with('#'))
+            .collect();
+        assert_eq!(roster.len(), 3, "{report}");
+        let state_of = |id: ParticipantId| {
+            let tag = format!("{id} ");
+            roster
+                .iter()
+                .find(|l| l.trim_start().starts_with(&tag))
+                .unwrap_or_else(|| panic!("no roster line for {id}: {report}"))
+        };
+        assert!(state_of(leader).ends_with("LEADER"));
+        assert!(state_of(straggler).ends_with("RUNNING (missed safepoint)"));
+        let others: Vec<_> = roster
+            .iter()
+            .filter(|l| !l.ends_with("LEADER") && !l.ends_with("(missed safepoint)"))
+            .collect();
+        assert_eq!(others.len(), 1, "{report}");
+        assert!(others[0].ends_with(" idle"), "{report}");
+        rdv.kick();
+        sleeper.join().unwrap();
+        rdv.unregister(straggler);
+        rdv.unregister(leader);
     }
 }
