@@ -300,12 +300,14 @@ impl Interpreter {
                 // Semaphore>>wait
                 let me = self.current_process();
                 self.prim_done(nargs, rcvr);
+                // Flush *before* the wait can block: once the process is on
+                // the semaphore, a signal may make it ready and another
+                // interpreter may claim it, and that interpreter resumes
+                // from whatever context and pc the heap holds.
+                self.flush_for_switch();
                 match sched::semaphore_wait(self.vm_arc(), rcvr, me) {
                     sched::WaitOutcome::Acquired => PrimOutcome::Done,
-                    sched::WaitOutcome::Blocked => {
-                        self.flush_for_switch();
-                        PrimOutcome::Event2(EV_BLOCKED)
-                    }
+                    sched::WaitOutcome::Blocked => PrimOutcome::Event2(EV_BLOCKED),
                 }
             }
             87 => {
@@ -318,8 +320,10 @@ impl Interpreter {
                 let me = self.current_process();
                 if rcvr == me {
                     self.prim_done(nargs, rcvr);
-                    sched::retire(self.vm_arc(), me);
+                    // As for wait: a `resume` from another interpreter may
+                    // reschedule us as soon as we are retired.
                     self.flush_for_switch();
+                    sched::retire(self.vm_arc(), me);
                     PrimOutcome::Event2(EV_BLOCKED)
                 } else if sched::suspend_other(self.vm_arc(), rcvr) {
                     self.prim_done(nargs, rcvr)
